@@ -19,16 +19,17 @@ fn bench_selection(c: &mut Criterion) {
     for &m in &[100_000usize, 1_000_000] {
         let dense = gradient(m);
         let k = m / 1000; // rho = 0.001
-        group.bench_with_input(BenchmarkId::new("exact_quickselect", m), &dense, |b, d| {
+        group.bench_with_input(BenchmarkId::new("exact", m), &dense, |b, d| {
             b.iter(|| black_box(topk_sparse(black_box(d), k)))
         });
         group.bench_with_input(BenchmarkId::new("sampled_threshold", m), &dense, |b, d| {
             let mut rng = StdRng::seed_from_u64(11);
             b.iter(|| black_box(sampled_topk_sparse(black_box(d), k, 512, &mut rng)))
         });
-        // The zero-allocation path, serial vs parallel: same quickselect,
-        // reused scratch, and (for threads > 1) per-chunk candidate
-        // selection with a final select over <= threads*k candidates.
+        // The zero-allocation path at 1/2/4 threads. The threshold
+        // prefilter is serial; threads only matter when it falls back to
+        // the chunk-parallel quickselect (per-chunk candidates, then a
+        // final select over <= threads*k of them).
         for threads in [1usize, 2, 4] {
             let mut scratch = TopkScratch::new();
             let mut out = SparseVec::empty(m);

@@ -4,6 +4,8 @@
 //! budget on — top-k selection, sparse top-k merge, matmul, residual
 //! accumulate, and the fused accumulate+select+compact pass — comparing:
 //!
+//! * the exact top-k kernel's threshold prefilter, alone and fused with
+//!   the residual accumulate, against the plain quickselect it replaced;
 //! * the zero-allocation scratch-reuse paths against the allocating ones;
 //! * the blocked/row-parallel matmul against the naive i-k-j loop (and
 //!   asserting the single-thread dispatch is never slower than naive);
@@ -26,6 +28,7 @@ use gtopk_tensor::simd::{self, SimdLevel};
 use gtopk_tensor::{matmul_flat, parallel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -100,24 +103,85 @@ fn naive_matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usiz
     }
 }
 
+/// The exact top-k kernel before its threshold prefilter: a serial
+/// quickselect over all indices (larger |value| first, NaN as 0, lower
+/// index on ties), indices ascending into `out`. Kept here as the
+/// ablation baseline.
+fn quickselect_topk(values: &[f32], k: usize, idx: &mut Vec<u32>, out: &mut Vec<u32>) {
+    let mag = |i: u32| {
+        let m = values[i as usize].abs();
+        if m.is_nan() {
+            0.0
+        } else {
+            m
+        }
+    };
+    idx.clear();
+    idx.extend(0..values.len() as u32);
+    idx.select_nth_unstable_by(k - 1, |&a, &b| {
+        mag(b)
+            .partial_cmp(&mag(a))
+            .unwrap_or(Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    out.clear();
+    out.extend_from_slice(&idx[..k]);
+    out.sort_unstable();
+}
+
 fn bench_select(rows: &mut Vec<Row>) {
     let mut rng = StdRng::seed_from_u64(7);
     let dense: Vec<f32> = (0..N).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
 
+    let (mut idx, mut before) = (Vec::new(), Vec::new());
+    rows.push(Row {
+        kernel: "topk_select",
+        variant: "quickselect",
+        threads: 1,
+        simd: "scalar",
+        elements: N,
+        baseline: true,
+        secs: time_median(5, || {
+            quickselect_topk(black_box(&dense), K, &mut idx, &mut before);
+            black_box(&before);
+        }),
+    });
+    let mut scratch = TopkScratch::new();
+    let mut out = SparseVec::empty(N);
+    rows.push(Row {
+        kernel: "topk_select",
+        variant: "prefiltered",
+        threads: 1,
+        simd: simd::level().name(),
+        elements: N,
+        baseline: false,
+        secs: parallel::with_thread_limit(1, || {
+            time_median(5, || {
+                topk_sparse_into(black_box(&dense), K, &mut scratch, &mut out);
+                black_box(&out);
+            })
+        }),
+    });
+    assert_eq!(
+        out.indices(),
+        &before[..],
+        "prefiltered select must be exact"
+    );
     rows.push(Row {
         kernel: "topk_select",
         variant: "alloc_per_call",
         threads: 1,
         simd: simd::level().name(),
         elements: N,
-        baseline: true,
+        baseline: false,
         secs: parallel::with_thread_limit(1, || {
             time_median(5, || {
                 black_box(topk_sparse(black_box(&dense), K));
             })
         }),
     });
-    for &t in THREADS {
+    // One thread is the `prefiltered` row above.
+    for &t in &THREADS[1..] {
         let mut scratch = TopkScratch::new();
         let mut out = SparseVec::empty(N);
         rows.push(Row {
@@ -332,6 +396,61 @@ fn bench_fused_select(rows: &mut Vec<Row>) {
     }
 }
 
+/// Exact-selector residual extraction, m = 25M, k = 25 000, single
+/// thread: the fused prefiltered pass against the path it replaced —
+/// accumulate, then quickselect over the whole buffer, then zero the
+/// selection. Same rep sequence as [`bench_fused_select`]; both variants
+/// select identically.
+fn bench_exact_residual_select(rows: &mut Vec<Row>) {
+    let mut rng = StdRng::seed_from_u64(21);
+    let grad: Vec<f32> = (0..N2).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let level = simd::detect_best();
+    let mut acc = vec![0.0f32; N2];
+    let (mut idx, mut before) = (Vec::new(), Vec::new());
+    rows.push(Row {
+        kernel: "residual_select",
+        variant: "accumulate_quickselect",
+        threads: 1,
+        simd: level.name(),
+        elements: N2,
+        baseline: false,
+        secs: simd::with_simd_level(level, || {
+            time_median(5, || {
+                simd::axpy(&mut acc, black_box(&grad));
+                quickselect_topk(&acc, K2, &mut idx, &mut before);
+                for &i in &before {
+                    acc[i as usize] = 0.0;
+                }
+                black_box(&before);
+            })
+        }),
+    });
+    let mut r = Residual::new(N2);
+    let mut out = SparseVec::empty(N2);
+    rows.push(Row {
+        kernel: "residual_select",
+        variant: "fused_exact",
+        threads: 1,
+        simd: level.name(),
+        elements: N2,
+        baseline: false,
+        secs: parallel::with_thread_limit(1, || {
+            simd::with_simd_level(level, || {
+                time_median(5, || {
+                    r.accumulate_extract_topk_into(black_box(&grad), K2, &mut out);
+                    black_box(&out);
+                })
+            })
+        }),
+    });
+    assert_eq!(
+        out.indices(),
+        &before[..],
+        "fused exact select must be exact"
+    );
+    assert_eq!(r.dense(), &acc[..], "fused exact residual state must match");
+}
+
 fn render_json(rows: &[Row]) -> String {
     let per_elem = |r: &Row| r.secs / r.elements as f64;
     let baseline = |kernel: &str| -> f64 {
@@ -414,18 +533,23 @@ fn main() {
     bench_compact(&mut rows);
     eprintln!("benchmarking fused vs three-pass residual select (n = {N2}, k = {K2}) ...");
     bench_fused_select(&mut rows);
+    eprintln!("benchmarking fused exact vs accumulate + quickselect residual select ...");
+    bench_exact_residual_select(&mut rows);
 
     assert_single_thread_matmul_not_slower(&rows);
-    let fused_speedup = {
-        let pe = |v: &str| {
-            rows.iter()
-                .find(|r| r.kernel == "residual_select" && r.variant == v)
-                .map(|r| r.secs)
-                .expect("residual_select row")
-        };
-        pe("three_pass_scalar") / pe("fused_simd")
+    let secs = |kernel: &str, variant: &str| {
+        rows.iter()
+            .find(|r| r.kernel == kernel && r.variant == variant)
+            .map(|r| r.secs)
+            .expect("benchmarked row")
     };
-    eprintln!("fused_simd vs three_pass_scalar: {fused_speedup:.2}x");
+    eprintln!(
+        "fused_simd vs three_pass_scalar: {:.2}x; prefiltered vs quickselect: {:.2}x; \
+         fused_exact vs accumulate_quickselect: {:.2}x",
+        secs("residual_select", "three_pass_scalar") / secs("residual_select", "fused_simd"),
+        secs("topk_select", "quickselect") / secs("topk_select", "prefiltered"),
+        secs("residual_select", "accumulate_quickselect") / secs("residual_select", "fused_exact"),
+    );
 
     let json = render_json(&rows);
     print!("{json}");

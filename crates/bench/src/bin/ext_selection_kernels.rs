@@ -1,5 +1,6 @@
 //! **Extension (paper Fig. 11 discussion)** — top-k selection kernel
-//! ablation: exact quickselect vs sampled-threshold estimation.
+//! ablation: exact selection (strided-threshold prefilter, quickselect
+//! fallback) vs sampled-threshold estimation.
 //!
 //! The paper measures sparsification ("Compr.") as a visible slice of
 //! every iteration and flags faster top-k selection as future work. This

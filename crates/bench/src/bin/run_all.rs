@@ -1,5 +1,6 @@
 //! Runs every table/figure reproduction binary in sequence, writing all
-//! TSVs under `results/`.
+//! TSVs under `results/` and the `BENCH_*.json` snapshots at the
+//! repository root.
 //!
 //! Run: `cargo run --release -p gtopk-bench --bin run_all`
 
@@ -19,6 +20,7 @@ const BINARIES: &[&str] = &[
     "fig13_14_batch_size",
     "table4_throughput",
     "ext_pipeline_overlap",
+    "ext_overlap",
     "ext_ps_vs_tree",
     "ext_selection_kernels",
     "ext_putback_ablation",
@@ -30,6 +32,7 @@ const BINARIES: &[&str] = &[
     "bench_plans",
     "bench_zoo",
     "bench_ps",
+    "bench_kernels",
 ];
 
 fn main() {

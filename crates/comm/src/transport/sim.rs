@@ -227,6 +227,10 @@ impl SimTransport {
 
 impl Drop for SimTransport {
     fn drop(&mut self) {
+        // Receivers go first: a peer that sees this rank's senders gone
+        // (`Disconnected` on recv) must also find its sends refused, so
+        // no sender half may outlive the receiver halves.
+        self.receivers.clear();
         let mut inner = self.mesh.inner.lock().unwrap();
         // A replaced endpoint (its rank already rejoined) must not tear
         // down its successor's fresh wiring.

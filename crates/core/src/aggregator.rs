@@ -36,8 +36,9 @@ impl LocalSelect {
         }
     }
 
-    /// Fused accumulate + extract (one memory pass for the
-    /// threshold-estimate selector; accumulate-then-extract otherwise).
+    /// Fused accumulate + extract (one memory pass for the exact and
+    /// threshold-estimate selectors; accumulate-then-extract for the
+    /// sampled one).
     fn accumulate_extract(
         &mut self,
         comm: &Communicator,
@@ -303,14 +304,7 @@ impl Algorithm {
             Algorithm::GTopKNoPutback => {
                 Box::new(GtopkNoPutbackAggregator::with_selector(selector).with_topology(topology))
             }
-            // Ok-Topk's native local selection is the sampling-based
-            // threshold estimate (bitwise identical to the exact kernel),
-            // so the generic exact default maps onto it; an explicitly
-            // sampled/threshold selector is honored as configured.
-            Algorithm::OkTopk => Box::new(match selector {
-                Selector::Exact => OkTopkAggregator::new(),
-                other => OkTopkAggregator::with_selector(other),
-            }),
+            Algorithm::OkTopk => Box::new(OkTopkAggregator::with_selector(selector)),
             Algorithm::SparDl => Box::new(SparDlAggregator::with_selector(selector)),
         }
     }
@@ -591,7 +585,7 @@ fn zoo_aggregate(
 }
 
 /// Ok-Topk S-SGD: equal `⌈k/P⌉` contribution quotas with a
-/// sampling-based threshold-estimate local selection, balanced
+/// threshold-prefiltered local selection, balanced
 /// split-and-aggregate rounds, and a gather of the per-region top
 /// selections. Per-rank communication volume is `O(k)` — no `log P`
 /// factor (contrast the gTop-k tree's `O(k log P)`).
@@ -601,23 +595,7 @@ pub struct OkTopkAggregator {
     sched: Option<ZooSchedule>,
 }
 
-impl OkTopkAggregator {
-    /// Creates the Ok-Topk aggregator with its native single-pass
-    /// sampling-based threshold selection (bitwise identical to the
-    /// exact kernel; only the selection cost is probabilistic).
-    pub fn new() -> Self {
-        Self::with_selector(Selector::ThresholdEstimate { sample: 256 })
-    }
-
-    /// Creates the Ok-Topk aggregator with an explicit local selection
-    /// kernel.
-    pub fn with_selector(selector: Selector) -> Self {
-        OkTopkAggregator {
-            select: LocalSelect::new(selector),
-            sched: None,
-        }
-    }
-}
+selector_ctors!(OkTopkAggregator, "Ok-Topk");
 
 impl GradientAggregator for OkTopkAggregator {
     fn name(&self) -> &'static str {
@@ -657,21 +635,7 @@ pub struct SparDlAggregator {
     sched: Option<ZooSchedule>,
 }
 
-impl SparDlAggregator {
-    /// Creates the SparDL aggregator (exact selection).
-    pub fn new() -> Self {
-        Self::with_selector(Selector::Exact)
-    }
-
-    /// Creates the SparDL aggregator with an explicit local selection
-    /// kernel.
-    pub fn with_selector(selector: Selector) -> Self {
-        SparDlAggregator {
-            select: LocalSelect::new(selector),
-            sched: None,
-        }
-    }
-}
+selector_ctors!(SparDlAggregator, "SparDL");
 
 impl GradientAggregator for SparDlAggregator {
     fn name(&self) -> &'static str {

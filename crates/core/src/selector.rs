@@ -3,8 +3,9 @@
 //! The paper's Fig. 11 flags local sparsification as a real per-iteration
 //! overhead ("Top-k selection on GPU is inefficient... We will leave this
 //! as our future optimization direction"). This module makes the
-//! selection kernel a configuration axis: the exact quickselect, or the
-//! cheaper sampled-threshold estimation.
+//! selection kernel a configuration axis: the exact kernel (a strided
+//! threshold prefilter with a quickselect fallback, fused with the
+//! residual accumulate), or the cheaper sampled-threshold estimation.
 
 use gtopk_sparse::{Residual, SparseVec};
 use rand::rngs::StdRng;
@@ -13,7 +14,13 @@ use rand::SeedableRng;
 /// Which kernel extracts the local top-k from the residual buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Selector {
-    /// Exact top-k via expected-O(m) quickselect (default).
+    /// Exact top-k (default). On large inputs a deterministic strided
+    /// sample sets a threshold, one pass — fused with the residual
+    /// accumulate in [`SelectorState::accumulate_extract`] — compacts the
+    /// coordinates strictly above it, and an exact select over those
+    /// candidates finishes; when fewer than `k` survive it falls back to
+    /// quickselect over the whole buffer. The result is bitwise exact on
+    /// every path, and this selector draws no random numbers.
     #[default]
     Exact,
     /// Sampled-threshold estimation with the given sample size —
@@ -27,8 +34,9 @@ pub enum Selector {
     /// single pass collects strictly-above-threshold candidates and an
     /// exact select over the (small) candidate set finishes the job. The
     /// result is **bitwise identical** to [`Selector::Exact`] — only the
-    /// selection cost is probabilistic (it falls back to the exact kernel
-    /// when the estimate overshoots).
+    /// selection cost is probabilistic (it falls back to quickselect when
+    /// the estimate overshoots). It is `Exact`'s prefilter with the
+    /// sample drawn from the rank's RNG stream instead of fixed strides.
     ThresholdEstimate {
         /// Number of magnitude samples used to estimate the threshold.
         sample: usize,
@@ -88,12 +96,12 @@ impl SelectorState {
     /// Accumulates this iteration's gradient into the residual and
     /// extracts `min(k, dim)` coordinates, in one call.
     ///
-    /// For [`Selector::ThresholdEstimate`] this takes the fused
-    /// accumulate + threshold-scan + compact kernel
-    /// ([`Residual::accumulate_extract_threshold`]) — one memory pass
-    /// over the buffer instead of three, bitwise identical to the
-    /// unfused sequence. The other selectors accumulate and then extract
-    /// exactly as before.
+    /// For [`Selector::Exact`] and [`Selector::ThresholdEstimate`] this
+    /// takes the fused accumulate + threshold-scan + compact kernel
+    /// ([`Residual::accumulate_extract_topk`],
+    /// [`Residual::accumulate_extract_threshold`]) — one memory pass over
+    /// the buffer instead of three, bitwise identical to the unfused
+    /// sequence. [`Selector::Sampled`] accumulates and then extracts.
     pub fn accumulate_extract(
         &mut self,
         residual: &mut Residual,
@@ -101,10 +109,11 @@ impl SelectorState {
         k: usize,
     ) -> SparseVec {
         match self.selector {
+            Selector::Exact => residual.accumulate_extract_topk(grad, k),
             Selector::ThresholdEstimate { sample } => {
                 residual.accumulate_extract_threshold(grad, k, sample, &mut self.rng)
             }
-            Selector::Exact | Selector::Sampled { .. } => {
+            Selector::Sampled { .. } => {
                 residual.accumulate(grad);
                 self.extract(residual, k)
             }
@@ -127,10 +136,7 @@ impl SelectorState {
             Selector::ThresholdEstimate { sample } => {
                 residual.accumulate_extract_threshold_into(grad, k, sample, &mut self.rng, out);
             }
-            Selector::Exact => {
-                residual.accumulate(grad);
-                residual.extract_topk_into(k, out);
-            }
+            Selector::Exact => residual.accumulate_extract_topk_into(grad, k, out),
             Selector::Sampled { sample } => {
                 residual.accumulate(grad);
                 *out = residual.extract_topk_sampled(k, sample, &mut self.rng);
@@ -224,6 +230,28 @@ mod tests {
                 assert_eq!(r1.dense(), r2.dense(), "{selector:?} residual state");
             }
         }
+    }
+
+    #[test]
+    fn exact_fused_path_matches_unfused_and_draws_no_rng() {
+        // Large enough for the exact kernel's threshold prefilter; the
+        // fused accumulate + select must match the two-call form bitwise
+        // and leave the checkpointed RNG stream untouched.
+        let dim = 1 << 16;
+        let mut s1 = SelectorState::new(Selector::Exact, 3);
+        let start = s1.rng_state();
+        let mut r1 = Residual::new(dim);
+        let mut r2 = Residual::new(dim);
+        for step in 0..3 {
+            let g: Vec<f32> = (0..dim)
+                .map(|i| ((i * 37 + step * 11) as f32 * 0.013).sin())
+                .collect();
+            let fused = s1.accumulate_extract(&mut r1, &g, 64);
+            r2.accumulate(&g);
+            assert_eq!(fused, r2.extract_topk(64), "step {step}");
+            assert_eq!(r1.dense(), r2.dense(), "step {step} residual state");
+        }
+        assert_eq!(s1.rng_state(), start, "Exact must draw no random numbers");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!   format every sparsified aggregation algorithm exchanges;
 //! * [`topk_sparse`] and friends — Top-k selection over the absolute values
 //!   of a dense gradient (paper Algorithm 1, lines 5–7), in an exact
-//!   quickselect flavour and a sampled-threshold flavour;
+//!   flavour (a strided-threshold prefilter with a quickselect fallback)
+//!   and a sampled-threshold flavour;
 //! * [`topk_merge`] — the paper's **Definition 1** binary operator `⊤`:
 //!   merge-add two k-sparse vectors and keep only the k largest magnitudes;
 //! * [`Residual`] — the error-feedback accumulator that stores zeroed-out

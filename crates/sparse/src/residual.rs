@@ -8,8 +8,8 @@
 //! ever silently dropped — only delayed.
 
 use crate::topk::{
-    accumulate_select_compact, sampled_topk_sparse, threshold_estimate_topk_into,
-    topk_indices_into, topk_sparse_into, TopkScratch,
+    accumulate_select_compact, accumulate_topk_compact, sampled_topk_sparse,
+    threshold_estimate_topk_into, topk_indices_into, topk_sparse_into, TopkScratch,
 };
 use crate::SparseVec;
 use gtopk_tensor::simd;
@@ -76,8 +76,8 @@ impl Residual {
     /// buffer and returning them as a sparse vector.
     ///
     /// Selection scratch is reused across calls, so steady-state cost is
-    /// the quickselect itself with no per-step allocation beyond the
-    /// returned k-entry vector.
+    /// the select itself with no per-step allocation beyond the returned
+    /// k-entry vector.
     pub fn extract_topk(&mut self, k: usize) -> SparseVec {
         let mut sv = SparseVec::empty(self.acc.len());
         self.extract_topk_into(k, &mut sv);
@@ -91,6 +91,27 @@ impl Residual {
         for &i in out.indices() {
             self.acc[i as usize] = 0.0;
         }
+    }
+
+    /// Fused accumulate + exact extraction: `G += grad` and the top-`k`
+    /// extraction of [`Residual::extract_topk`] in one memory pass over
+    /// the buffer where the exact kernel's threshold prefilter applies.
+    /// Bitwise identical — result and buffer state — to
+    /// [`Residual::accumulate`] followed by [`Residual::extract_topk`].
+    pub fn accumulate_extract_topk(&mut self, grad: &[f32], k: usize) -> SparseVec {
+        let mut sv = SparseVec::empty(self.acc.len());
+        self.accumulate_extract_topk_into(grad, k, &mut sv);
+        sv
+    }
+
+    /// Like [`Residual::accumulate_extract_topk`] but writing into a
+    /// caller-supplied vector — fully allocation-free in steady state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad.len() != self.dim()`.
+    pub fn accumulate_extract_topk_into(&mut self, grad: &[f32], k: usize, out: &mut SparseVec) {
+        accumulate_topk_compact(&mut self.acc, grad, k, &mut self.scratch, out);
     }
 
     /// Extracts the top-`k` coordinates by |value| *within* the

@@ -1,26 +1,51 @@
 //! Top-k selection kernels.
 //!
 //! The paper selects the `k = ρ·m` gradient coordinates of largest absolute
-//! value (Algorithm 1, lines 5–7). We provide an exact O(m) expected-time
-//! quickselect ([`topk_indices`] / [`topk_indices_into`]), a plain
-//! threshold filter ([`threshold_sparse`]), and a sampled-threshold
-//! approximation ([`sampled_topk_sparse`]) of the kind used to cut GPU
-//! selection cost — the paper's Fig. 11 flags compression time as a real
-//! overhead.
+//! value (Algorithm 1, lines 5–7). We provide an exact kernel
+//! ([`topk_indices`] / [`topk_indices_into`]), a plain threshold filter
+//! ([`threshold_sparse`]), and a sampled-threshold approximation
+//! ([`sampled_topk_sparse`]) of the kind used to cut GPU selection cost —
+//! the paper's Fig. 11 flags compression time as a real overhead.
+//!
+//! # The exact kernel: threshold prefilter, then select
+//!
+//! On large inputs (`n ≥ 64K` and `n ≥ 16·k`) the exact kernel first tries
+//! a **threshold prefilter**: it reads a deterministic strided sample of
+//! magnitudes (the midpoint of each of `S` equal strides, no RNG), takes a
+//! threshold aimed at about `2k` survivors, and compacts every coordinate
+//! *strictly* above it in one SIMD pass. If at least `k` survive, the
+//! top-k is necessarily among them — every survivor strictly beats every
+//! excluded coordinate — so an exact select over the survivors returns
+//! the same answer as a select over everything. If fewer than `k` survive
+//! (heavy ties, or an input built against the stride), the kernel falls
+//! back to quickselect over all `n`. The result is **bitwise identical**
+//! either way; only the running time depends on the data, and the
+//! fallback costs at most one extra O(n) compaction. Near-Gaussian
+//! gradients take the fast path: the select then touches ~2k candidates
+//! instead of `n`.
+//!
+//! The fused residual paths ([`accumulate_select_compact`], and the
+//! exact `Residual::accumulate_extract_topk_into`) run the residual
+//! accumulate, the threshold compare and the compaction in a single
+//! memory pass. Every path — prefiltered, RNG-estimated, fused or not —
+//! finishes its candidates through one exact-select helper under the one
+//! comparator, so their answers cannot drift apart.
 //!
 //! # Threading & determinism
 //!
-//! Large inputs are selected in parallel: the index space is split into
-//! contiguous chunks (see `gtopk_tensor::parallel`), each chunk's local
-//! top-k is found independently, and an exact final select runs over the
-//! ≤ `threads·k` gathered candidates. This is *bitwise identical* to the
-//! serial kernel for any thread count or chunking: the comparator is a
-//! strict total order (larger magnitude first, lower index breaks ties,
-//! NaN magnitude counts as 0), so the global top-k set is unique, and
-//! every member of it is necessarily inside its own chunk's local top-k —
-//! fewer than `k` coordinates beat it globally, hence fewer than `k`
-//! within its chunk. The candidate union therefore always contains the
-//! answer and the final exact select returns exactly the serial result.
+//! The quickselect fallback selects large inputs in parallel: the index
+//! space is split into contiguous chunks (see `gtopk_tensor::parallel`),
+//! each chunk's local top-k is found independently, and an exact final
+//! select runs over the ≤ `threads·k` gathered candidates. This is
+//! *bitwise identical* to the serial kernel for any thread count or
+//! chunking: the comparator is a strict total order (larger magnitude
+//! first, lower index breaks ties, NaN magnitude counts as 0), so the
+//! global top-k set is unique, and every member of it is necessarily
+//! inside its own chunk's local top-k — fewer than `k` coordinates beat
+//! it globally, hence fewer than `k` within its chunk. The candidate union
+//! therefore always contains the answer and the final exact select returns
+//! exactly the serial result. The prefilter is serial and reads the same
+//! sample at every thread count and SIMD level.
 //!
 //! The determinism is load-bearing: every worker replica must compute an
 //! identical selection for identical input, or replicas drift apart.
@@ -39,6 +64,22 @@ use std::cmp::Ordering;
 /// Inputs below this many elements per chunk are selected serially —
 /// spawn overhead beats quickselect on anything smaller.
 const PAR_MIN_CHUNK: usize = 32 * 1024;
+
+/// The exact kernel tries its threshold prefilter only on inputs of at
+/// least this many elements: below it a plain quickselect is already
+/// cheap (the small merge selects stay on it).
+const PREFILTER_MIN_N: usize = 64 * 1024;
+
+/// ... and only while `n ≥ PREFILTER_MIN_RATIO · k`: denser selects keep
+/// too large a share of the input for a filter to pay off.
+const PREFILTER_MIN_RATIO: usize = 16;
+
+/// Strided samples the prefilter expects at or above the true k-th
+/// largest magnitude. The threshold sits on twice that many samples
+/// (the `2×` quota margin of [`sampled_threshold`]), so ~2k candidates
+/// survive and an undershoot below `k` is a many-sigma event on
+/// near-Gaussian data.
+const PREFILTER_HITS: usize = 32;
 
 /// Comparison magnitude of a value: `|v|`, with NaN mapped to 0 so the
 /// comparator stays a total order (a NaN gradient coordinate sorts as if
@@ -74,10 +115,11 @@ pub struct TopkScratch {
     /// running parallel).
     idx: Vec<u32>,
     /// Gathered per-chunk candidates (≤ chunks·k entries), and the
-    /// strictly-above-threshold candidates of the estimate paths.
+    /// strictly-above-threshold candidates of the prefilter and estimate
+    /// paths.
     cand: Vec<u32>,
-    /// Sampled magnitudes of the threshold-estimate paths (`sample`
-    /// entries) — kept here so estimation allocates nothing per call.
+    /// Sampled magnitudes of the prefilter and estimate paths — kept here
+    /// so threshold sampling allocates nothing per call.
     mags: Vec<f32>,
 }
 
@@ -88,23 +130,83 @@ impl TopkScratch {
     }
 }
 
-/// Writes the indices of the `k` entries of largest absolute value into
-/// `out`, ascending, reusing `scratch` buffers.
+/// Whether the exact kernel tries the threshold prefilter for a
+/// top-`k`-of-`n` select (internal limits, not a tuning knob).
+fn prefilter_applies(n: usize, k: usize) -> bool {
+    k > 0 && n >= PREFILTER_MIN_N && n >= PREFILTER_MIN_RATIO * k
+}
+
+/// Number of strided samples the prefilter reads: about
+/// `PREFILTER_HITS · n / k`, capped at `n / 8` so sampling stays a small
+/// share of the pass even for tiny `k`.
+fn prefilter_sample_size(n: usize, k: usize) -> usize {
+    (PREFILTER_HITS * n).div_ceil(k).min(n / 8)
+}
+
+/// Index the prefilter samples in stride `j` of `s`: the stride's midpoint.
+fn stride_midpoint(j: usize, n: usize, s: usize) -> usize {
+    ((2 * j as u64 + 1) * n as u64 / (2 * s as u64)) as usize
+}
+
+/// The strict selection threshold for a top-`k`-of-`n` select, read off
+/// the sampled magnitudes in `mags` (reordered in place): the magnitude a
+/// share `2k/n` of the sample reaches. The `2×` margin makes the strict
+/// filter overshoot `k` with high probability — a slightly large
+/// candidate set costs one cheap select, an undershoot a full rescan.
+fn sampled_threshold(n: usize, k: usize, mags: &mut [f32]) -> f32 {
+    let sample = mags.len();
+    let quota = ((k as f64 / n as f64) * sample as f64).ceil() as usize;
+    let quota = quota.saturating_mul(2).clamp(1, sample);
+    // `mag` outputs are never NaN, so this comparator is total.
+    mags.select_nth_unstable_by(quota - 1, |a, b| {
+        b.partial_cmp(a).unwrap_or(Ordering::Equal)
+    });
+    mags[quota - 1]
+}
+
+/// The prefilter threshold of the exact kernel, from a deterministic
+/// strided sample of the magnitudes supplied by `value_at` (one read per
+/// stride midpoint, no RNG), reusing the `mags` scratch buffer.
+fn strided_threshold(
+    n: usize,
+    k: usize,
+    mags: &mut Vec<f32>,
+    value_at: impl Fn(usize) -> f32,
+) -> f32 {
+    let s = prefilter_sample_size(n, k);
+    mags.clear();
+    mags.extend((0..s).map(|j| mag(value_at(stride_midpoint(j, n, s)))));
+    sampled_threshold(n, k, mags)
+}
+
+/// Estimates the strict selection threshold for a top-`k`-of-`n` select
+/// from `sample` uniform draws of the magnitudes supplied by `value_at`,
+/// reusing the `mags` scratch buffer (no allocation at steady state).
 ///
-/// Writes all indices if `k >= values.len()`. Expected O(m) via
-/// `select_nth_unstable_by`; runs chunk-parallel for large inputs with a
-/// bitwise-identical result (see module docs). Deterministic under ties
-/// (lower index wins).
-pub fn topk_indices_into(values: &[f32], k: usize, scratch: &mut TopkScratch, out: &mut Vec<u32>) {
-    out.clear();
+/// Consumes exactly `sample` RNG draws. Shared by the unfused
+/// ([`threshold_estimate_topk_into`]) and fused
+/// ([`accumulate_select_compact`]) estimate paths so their thresholds —
+/// and therefore their selections — cannot drift apart.
+fn estimate_threshold(
+    n: usize,
+    k: usize,
+    sample: usize,
+    rng: &mut impl Rng,
+    mags: &mut Vec<f32>,
+    value_at: impl Fn(usize) -> f32,
+) -> f32 {
+    mags.clear();
+    mags.extend((0..sample).map(|_| mag(value_at(rng.gen_range(0..n)))));
+    sampled_threshold(n, k, mags)
+}
+
+/// Exact top-`k` of `values` (`0 < k < n`) by quickselect over all
+/// indices, ascending into `out` — the kernel without prefilter, and the
+/// fallback of every threshold path. Runs chunk-parallel for large
+/// inputs with a bitwise-identical result (see module docs).
+fn quickselect_into(values: &[f32], k: usize, scratch: &mut TopkScratch, out: &mut Vec<u32>) {
     let n = values.len();
-    if k == 0 || n == 0 {
-        return;
-    }
-    if k >= n {
-        out.extend(0..n as u32);
-        return;
-    }
+    out.clear();
     scratch.idx.clear();
     scratch.idx.extend(0..n as u32);
     let chunks = parallel::chunk_count(n, PAR_MIN_CHUNK);
@@ -136,6 +238,76 @@ pub fn topk_indices_into(values: &[f32], k: usize, scratch: &mut TopkScratch, ou
     out.sort_unstable();
 }
 
+/// Finishes a threshold path (`0 < k < n`): `scratch.cand` holds, in any
+/// order, every index whose magnitude is strictly above some threshold.
+///
+/// With at least `k` candidates the exact top-k is among them (each
+/// candidate strictly beats each excluded coordinate), so an exact select
+/// over the candidates under [`tie_cmp`] gives the same answer as one
+/// over all of `values`. With fewer, it falls back to [`quickselect_into`].
+/// Writes the top-k, ascending, into `out` and returns the number of
+/// coordinates the final exact select examined: the candidate count, or
+/// `n` on the fallback.
+fn finish_select(values: &[f32], k: usize, scratch: &mut TopkScratch, out: &mut Vec<u32>) -> usize {
+    let cand = &mut scratch.cand;
+    let examined = cand.len();
+    if examined < k {
+        quickselect_into(values, k, scratch, out);
+        return values.len();
+    }
+    if examined > k {
+        cand.select_nth_unstable_by(k - 1, |&a, &b| tie_cmp(values, a, b));
+        cand.truncate(k);
+    }
+    cand.sort_unstable();
+    out.clear();
+    out.extend_from_slice(cand);
+    examined
+}
+
+/// [`topk_indices_into`], returning the number of coordinates the final
+/// exact select examined: the prefilter's candidate count when it
+/// succeeded, `n` otherwise.
+fn topk_indices_counted(
+    values: &[f32],
+    k: usize,
+    scratch: &mut TopkScratch,
+    out: &mut Vec<u32>,
+) -> usize {
+    out.clear();
+    let n = values.len();
+    if k == 0 || n == 0 {
+        return n;
+    }
+    if k >= n {
+        out.extend(0..n as u32);
+        return n;
+    }
+    if !prefilter_applies(n, k) {
+        quickselect_into(values, k, scratch, out);
+        return n;
+    }
+    let thr = strided_threshold(n, k, &mut scratch.mags, |i| values[i]);
+    // `|v| > thr` and `mag(v) > thr` agree for every thr ≥ 0 because NaN
+    // fails both.
+    scratch.cand.clear();
+    simd::compact_above(values, thr, 0, &mut scratch.cand);
+    finish_select(values, k, scratch, out)
+}
+
+/// Writes the indices of the `k` entries of largest absolute value into
+/// `out`, ascending, reusing `scratch` buffers.
+///
+/// Writes all indices if `k >= values.len()`. Large inputs go through the
+/// strided-threshold prefilter with a quickselect fallback; smaller ones
+/// straight to an expected-O(m) quickselect, chunk-parallel when large.
+/// The result is bitwise identical on every path, thread count and SIMD
+/// level (see module docs). Deterministic under ties (lower index wins).
+/// Draws no random numbers.
+pub fn topk_indices_into(values: &[f32], k: usize, scratch: &mut TopkScratch, out: &mut Vec<u32>) {
+    topk_indices_counted(values, k, scratch, out);
+}
+
 /// Indices of the `k` entries of largest absolute value, ascending order.
 ///
 /// Allocating wrapper around [`topk_indices_into`]; hot paths hold a
@@ -153,19 +325,22 @@ pub fn topk_indices(values: &[f32], k: usize) -> Vec<u32> {
     out
 }
 
+/// Sets `out`'s values to `dense` at its (already written) indices.
+fn gather_values(dense: &[f32], out: &mut SparseVec) {
+    out.dim = dense.len();
+    out.values.clear();
+    out.values
+        .extend(out.indices.iter().map(|&i| dense[i as usize]));
+}
+
 /// Sparsifies a dense vector into `out`, keeping the `k` entries of
 /// largest |value| and reusing `scratch` buffers.
 ///
 /// This is exactly `G̃ = G ⊙ Mask` of Algorithm 1, allocation-free in
 /// steady state.
 pub fn topk_sparse_into(dense: &[f32], k: usize, scratch: &mut TopkScratch, out: &mut SparseVec) {
-    out.dim = dense.len();
-    let mut indices = std::mem::take(&mut out.indices);
-    topk_indices_into(dense, k, scratch, &mut indices);
-    out.values.clear();
-    out.values
-        .extend(indices.iter().map(|&i| dense[i as usize]));
-    out.indices = indices;
+    topk_indices_into(dense, k, scratch, &mut out.indices);
+    gather_values(dense, out);
 }
 
 /// Sparsifies a dense vector keeping the `k` entries of largest |value|.
@@ -273,50 +448,18 @@ pub fn sampled_topk_sparse(
     topk_sparse(dense, k)
 }
 
-/// Estimates the strict selection threshold for a top-`k`-of-`n` select
-/// from `sample` uniform draws of the magnitudes supplied by `value_at`,
-/// reusing the `mags` scratch buffer (no allocation at steady state).
-///
-/// Consumes exactly `sample` RNG draws. Shared by the unfused
-/// ([`threshold_estimate_topk_into`]) and fused
-/// ([`accumulate_select_compact`]) estimate paths so their thresholds —
-/// and therefore their selections — cannot drift apart.
-fn estimate_threshold(
-    n: usize,
-    k: usize,
-    sample: usize,
-    rng: &mut impl Rng,
-    mags: &mut Vec<f32>,
-    value_at: impl Fn(usize) -> f32,
-) -> f32 {
-    mags.clear();
-    mags.extend((0..sample).map(|_| mag(value_at(rng.gen_range(0..n)))));
-    // Aim the threshold at ~2k candidates: a 2x quota margin makes the
-    // strict filter overshoot k with high probability (a slightly large
-    // candidate set costs one cheap select; an undershoot costs a full
-    // exact rescan).
-    let quota = ((k as f64 / n as f64) * sample as f64).ceil() as usize;
-    let quota = quota.saturating_mul(2).clamp(1, sample);
-    // `mag` outputs are never NaN, so this comparator is total.
-    mags.select_nth_unstable_by(quota - 1, |a, b| {
-        b.partial_cmp(a).unwrap_or(Ordering::Equal)
-    });
-    mags[quota - 1]
-}
-
 /// Exact top-k via sampled-threshold estimation with an exact-`k` fixup:
 /// the fast path of the `ThresholdEstimate` selector.
 ///
 /// A uniform sample of `sample` coordinates estimates the k-th largest
 /// magnitude; one single pass collects every coordinate *strictly* above
-/// the estimate. If at least `k` candidates survive, the true top-k is
-/// necessarily among them (every candidate strictly beats every excluded
-/// coordinate), so an exact select over the candidate set — under the
-/// same total order as [`topk_indices_into`] — returns a **bitwise
-/// identical** result to the exact kernel. If the estimate overshot and
-/// fewer than `k` candidates survive, we fall back to the exact kernel.
-/// Either way the output equals the exact top-k; only the running time
-/// is probabilistic.
+/// the estimate, and the exact kernel's candidate finish (select over the
+/// candidates under the same total order, or quickselect over all `n`
+/// when fewer than `k` survive) completes it. The output is **bitwise
+/// identical** to [`topk_indices_into`]; only the running time is
+/// probabilistic. It differs from the exact kernel's own prefilter only
+/// in where the sample comes from: this path draws it from `rng`, so its
+/// checkpointed RNG stream replays exactly.
 ///
 /// Returns the number of coordinates the final exact select examined:
 /// the candidate count on the fast path, `n` on the fallback — the
@@ -336,32 +479,55 @@ pub fn threshold_estimate_topk_into(
     }
     assert!(sample > 0, "sample size must be positive");
     let sample = sample.min(n);
-    out.dim = n;
-    out.indices.clear();
-    out.values.clear();
     let thr = estimate_threshold(n, k, sample, rng, &mut scratch.mags, |i| dense[i]);
-    // Single pass: strictly-above-threshold candidates (SIMD compaction;
-    // `|v| > thr` and `mag(v) > thr` agree for every thr ≥ 0 because NaN
-    // fails both).
     scratch.cand.clear();
     simd::compact_above(dense, thr, 0, &mut scratch.cand);
-    let examined = scratch.cand.len();
-    if examined < k {
-        // Estimate overshot (heavy ties at or below thr): exact fallback.
-        topk_sparse_into(dense, k, scratch, out);
-        return n;
-    }
-    if examined > k {
-        scratch
-            .cand
-            .select_nth_unstable_by(k - 1, |&a, &b| tie_cmp(dense, a, b));
-        scratch.cand.truncate(k);
-    }
-    scratch.cand.sort_unstable();
-    out.indices.extend_from_slice(&scratch.cand);
-    out.values
-        .extend(out.indices.iter().map(|&i| dense[i as usize]));
+    let examined = finish_select(dense, k, scratch, &mut out.indices);
+    gather_values(dense, out);
     examined
+}
+
+/// The single memory pass of both fused paths: `acc += grad` while
+/// compacting every index whose *accumulated* magnitude is strictly
+/// above `thr`, then the exact candidate finish. Writes the exact top-`k`
+/// (`0 < k < n`) of the accumulated buffer into `out`, zeroes it in
+/// `acc`, and returns the number of coordinates examined.
+fn fused_extract(
+    acc: &mut [f32],
+    grad: &[f32],
+    k: usize,
+    thr: f32,
+    scratch: &mut TopkScratch,
+    out: &mut SparseVec,
+) -> usize {
+    scratch.cand.clear();
+    simd::accumulate_compact_above(acc, grad, thr, 0, &mut scratch.cand);
+    let examined = finish_select(acc, k, scratch, &mut out.indices);
+    gather_values(acc, out);
+    zero_selected(acc, out);
+    examined
+}
+
+/// The unfused form of a fused path, for the selects a threshold cannot
+/// help: accumulate, exact top-`k`, zero the selection. Returns `n`.
+fn accumulate_then_extract(
+    acc: &mut [f32],
+    grad: &[f32],
+    k: usize,
+    scratch: &mut TopkScratch,
+    out: &mut SparseVec,
+) -> usize {
+    simd::axpy(acc, grad);
+    topk_sparse_into(acc, k, scratch, out);
+    zero_selected(acc, out);
+    acc.len()
+}
+
+/// Zeroes the coordinates `out` selected from `acc`.
+fn zero_selected(acc: &mut [f32], out: &SparseVec) {
+    for &i in out.indices() {
+        acc[i as usize] = 0.0;
+    }
 }
 
 /// Fused residual-accumulate + threshold-estimate top-k extraction: the
@@ -404,49 +570,45 @@ pub fn accumulate_select_compact(
     let n = acc.len();
     assert_eq!(grad.len(), n, "gradient length mismatch");
     if k == 0 || n == 0 || k >= n {
-        // Degenerate select: plain accumulate, then the exact kernel
-        // (mirrors the unfused path's delegation).
-        simd::axpy(acc, grad);
-        topk_sparse_into(acc, k, scratch, out);
-        for &i in out.indices() {
-            acc[i as usize] = 0.0;
-        }
-        return n;
+        // Degenerate select: mirrors the unfused path's delegation.
+        return accumulate_then_extract(acc, grad, k, scratch, out);
     }
     assert!(sample > 0, "sample size must be positive");
     let sample = sample.min(n);
     let thr = estimate_threshold(n, k, sample, rng, &mut scratch.mags, |i| acc[i] + grad[i]);
-    out.dim = n;
-    out.indices.clear();
-    out.values.clear();
-    // THE fused pass: accumulate, threshold-compare the accumulated
-    // value, and emit candidate indices, one traversal.
-    scratch.cand.clear();
-    simd::accumulate_compact_above(acc, grad, thr, 0, &mut scratch.cand);
-    let examined = scratch.cand.len();
-    if examined < k {
-        // Estimate overshot (heavy ties at or below thr): exact fallback
-        // over the already-accumulated buffer.
-        topk_sparse_into(acc, k, scratch, out);
-        for &i in out.indices() {
-            acc[i as usize] = 0.0;
-        }
-        return n;
+    fused_extract(acc, grad, k, thr, scratch, out)
+}
+
+/// Fused residual-accumulate + exact top-k extraction: the exact
+/// kernel's prefiltered select in one memory pass.
+///
+/// Bitwise identical to `acc[i] += grad[i]`, then [`topk_sparse_into`]
+/// over the accumulated buffer, then zeroing the selected coordinates.
+/// The strided prefilter sample is read before the pass as
+/// `mag(acc[i] + grad[i])` — the floats the unfused kernel samples after
+/// accumulating — so the threshold, and with it the examined count, is
+/// the unfused one too. Draws no random numbers. Selects the prefilter
+/// does not apply to accumulate first and quickselect after.
+///
+/// Returns the number of coordinates the final exact select examined.
+///
+/// # Panics
+///
+/// Panics if `grad.len() != acc.len()`.
+pub(crate) fn accumulate_topk_compact(
+    acc: &mut [f32],
+    grad: &[f32],
+    k: usize,
+    scratch: &mut TopkScratch,
+    out: &mut SparseVec,
+) -> usize {
+    let n = acc.len();
+    assert_eq!(grad.len(), n, "gradient length mismatch");
+    if !prefilter_applies(n, k) {
+        return accumulate_then_extract(acc, grad, k, scratch, out);
     }
-    if examined > k {
-        scratch
-            .cand
-            .select_nth_unstable_by(k - 1, |&a, &b| tie_cmp(acc, a, b));
-        scratch.cand.truncate(k);
-    }
-    scratch.cand.sort_unstable();
-    out.indices.extend_from_slice(&scratch.cand);
-    out.values
-        .extend(out.indices.iter().map(|&i| acc[i as usize]));
-    for &i in out.indices() {
-        acc[i as usize] = 0.0;
-    }
-    examined
+    let thr = strided_threshold(n, k, &mut scratch.mags, |i| acc[i] + grad[i]);
+    fused_extract(acc, grad, k, thr, scratch, out)
 }
 
 /// Allocating wrapper around [`threshold_estimate_topk_into`].
@@ -465,6 +627,7 @@ pub fn threshold_estimate_topk_sparse(
 mod tests {
     use super::*;
     use gtopk_tensor::parallel::{with_min_chunk, with_thread_limit};
+    use gtopk_tensor::simd::{with_simd_level, SimdLevel};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -672,6 +835,193 @@ mod tests {
         for (i, (&got, &exp)) in acc.iter().zip(expect_dense.iter()).enumerate() {
             let want = if out.contains(i as u32) { 0.0 } else { exp };
             assert_eq!(got.to_bits(), want.to_bits(), "coord {i}");
+        }
+    }
+
+    /// Sort-based reference: every index ordered by `tie_cmp`, the first
+    /// `k` kept, ascending — independent of the select kernels.
+    fn oracle_topk(values: &[f32], k: usize) -> Vec<u32> {
+        let mut all: Vec<u32> = (0..values.len() as u32).collect();
+        all.sort_by(|&a, &b| tie_cmp(values, a, b));
+        all.truncate(k);
+        all.sort_unstable();
+        all
+    }
+
+    /// Near-Gaussian values (Box–Muller), the shape of real gradients.
+    fn gaussian(n: usize, seed: u64) -> Vec<f32> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                let v: f64 = rng.gen_range(0.0..1.0);
+                ((-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos()) as f32
+            })
+            .collect()
+    }
+
+    /// Runs the exact kernel and its fused residual form under 1 and 4
+    /// threads at every runnable SIMD level, checks each against the
+    /// oracle, and returns the examined count (which must not vary).
+    ///
+    /// The fused form accumulates `values` onto a copy of itself: the
+    /// doubling is exact, so ties, zeros, NaNs and infinities keep their
+    /// shape, and its oracle runs over the scalar-loop sum.
+    fn assert_exact_everywhere(values: &[f32], k: usize) -> usize {
+        let expect = oracle_topk(values, k);
+        let summed: Vec<f32> = values.iter().map(|&v| v + v).collect();
+        let expect_fused = oracle_topk(&summed, k);
+        let mut seen = None;
+        for threads in [1, 4] {
+            for level in SimdLevel::ALL.into_iter().filter(|l| l.available()) {
+                let ctx = format!("threads={threads} simd={}", level.name());
+                let (got, examined, fused, fused_examined, acc) =
+                    with_thread_limit(threads, || {
+                        with_simd_level(level, || {
+                            let mut scratch = TopkScratch::new();
+                            let mut got = Vec::new();
+                            let examined = topk_indices_counted(values, k, &mut scratch, &mut got);
+                            let mut acc = values.to_vec();
+                            let mut fused = SparseVec::empty(0);
+                            let fused_examined = accumulate_topk_compact(
+                                &mut acc,
+                                values,
+                                k,
+                                &mut scratch,
+                                &mut fused,
+                            );
+                            (got, examined, fused, fused_examined, acc)
+                        })
+                    });
+                assert_eq!(got, expect, "{ctx}");
+                assert_eq!(fused.indices(), &expect_fused[..], "fused {ctx}");
+                assert_eq!(fused_examined, examined, "fused threshold differs, {ctx}");
+                for (i, (&a, &s)) in acc.iter().zip(summed.iter()).enumerate() {
+                    let (want, value) = match fused.indices().binary_search(&(i as u32)) {
+                        Ok(j) => (0.0, Some(fused.values()[j])),
+                        Err(_) => (s, None),
+                    };
+                    assert_eq!(a.to_bits(), want.to_bits(), "coord {i}, {ctx}");
+                    if let Some(v) = value {
+                        assert_eq!(v.to_bits(), s.to_bits(), "value {i}, {ctx}");
+                    }
+                }
+                assert_eq!(*seen.get_or_insert(examined), examined, "{ctx}");
+            }
+        }
+        seen.expect("the scalar level always runs")
+    }
+
+    /// Large magnitudes on exactly the strided-sample positions: the
+    /// threshold lands on the spikes, nothing is strictly above it, and
+    /// the exact kernel must fall back — with the exact answer.
+    #[test]
+    fn prefilter_falls_back_on_spikes_at_the_sample_stride() {
+        let (n, k) = (100_000usize, 100usize);
+        let s = prefilter_sample_size(n, k);
+        assert!(s > k, "the spikes must outnumber k");
+        let mut values: Vec<f32> = gaussian(n, 1).iter().map(|v| v * 1e-3).collect();
+        for j in 0..s {
+            values[stride_midpoint(j, n, s)] = if j % 2 == 0 { 5.0 } else { -5.0 };
+        }
+        assert_eq!(
+            assert_exact_everywhere(&values, k),
+            n,
+            "fallback must engage"
+        );
+    }
+
+    /// Near-Gaussian input: the strided threshold keeps ~2k candidates,
+    /// so the final select examines a tiny share of `n`.
+    #[test]
+    fn prefilter_fast_path_engages_on_near_gaussian_input() {
+        let (n, k) = (1usize << 19, 500usize);
+        let examined = assert_exact_everywhere(&gaussian(n, 2), k);
+        assert!(
+            (k..=4 * k).contains(&examined),
+            "fast path should examine about 2k candidates, examined {examined}"
+        );
+    }
+
+    #[test]
+    fn prefilter_is_exact_on_all_equal_magnitudes() {
+        let values: Vec<f32> = (0..70_000)
+            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
+        assert_eq!(assert_exact_everywhere(&values, 500), values.len());
+    }
+
+    #[test]
+    fn prefilter_is_exact_with_ties_at_the_threshold() {
+        // 64 magnitude levels: the threshold is one of them, the k-th
+        // largest sits inside a tie run, and index order must break it.
+        let values: Vec<f32> = (0..100_000u64).map(|i| ((i * 7919) % 64) as f32).collect();
+        let examined = assert_exact_everywhere(&values, 3_000);
+        assert!(
+            examined < values.len(),
+            "the level above the threshold suffices"
+        );
+        // Too few strictly-above coordinates: the ties at the threshold
+        // force the fallback.
+        let values: Vec<f32> = (0..100_000)
+            .map(|i| if i % 100 == 7 { 2.0 } else { 1.0 })
+            .collect();
+        assert_eq!(assert_exact_everywhere(&values, 3_000), values.len());
+    }
+
+    #[test]
+    fn prefilter_is_exact_on_mostly_zero_input_with_k_above_nnz() {
+        let values: Vec<f32> = (0..80_000)
+            .map(|i| match i {
+                _ if i % 1999 == 5 => 1.0 + i as f32,
+                _ if i % 2 == 0 => -0.0,
+                _ => 0.0,
+            })
+            .collect();
+        assert_eq!(assert_exact_everywhere(&values, 200), values.len());
+    }
+
+    #[test]
+    fn prefilter_is_exact_with_nan_and_infinities() {
+        let mut values = gaussian(100_000, 3);
+        for (i, v) in values.iter_mut().enumerate() {
+            if i % 3 == 1 {
+                *v = f32::NAN;
+            } else if i % 997 == 0 {
+                *v = if i % 2 == 0 {
+                    f32::INFINITY
+                } else {
+                    f32::NEG_INFINITY
+                };
+            }
+        }
+        assert!(assert_exact_everywhere(&values, 1_000) < values.len());
+        // Infinities crowd the sample: the threshold is +inf, nothing is
+        // strictly above it, and the fallback orders them by index.
+        let values: Vec<f32> = (0..100_000)
+            .map(|i| match i % 4 {
+                0 => f32::INFINITY,
+                1 => f32::NEG_INFINITY,
+                2 => f32::NAN,
+                _ => 1.0,
+            })
+            .collect();
+        assert_eq!(assert_exact_everywhere(&values, 1_000), values.len());
+    }
+
+    #[test]
+    fn prefilter_applies_from_64k_elements() {
+        let k = 100;
+        for n in [PREFILTER_MIN_N - 1, PREFILTER_MIN_N] {
+            let examined = assert_exact_everywhere(&gaussian(n, 4), k);
+            if n < PREFILTER_MIN_N {
+                assert_eq!(examined, n, "below the limit: plain quickselect");
+            } else {
+                assert!(
+                    examined < n / 8,
+                    "at the limit: prefiltered, examined {examined}"
+                );
+            }
         }
     }
 

@@ -165,3 +165,26 @@ fn fused_path_allocates_nothing_at_steady_state() {
     let allocs = alloc_calls() - before;
     assert_eq!(allocs, 0, "steady-state fused epoch allocated {allocs}x");
 }
+
+/// One epoch of the exact selector's fused accumulate + prefiltered
+/// select, at a size the threshold prefilter applies to.
+fn run_fused_exact(r: &mut Residual, grads: &[Vec<f32>], k: usize, out: &mut SparseVec) {
+    for g in grads {
+        r.accumulate_extract_topk_into(g, k, out);
+    }
+}
+
+#[test]
+fn fused_exact_path_allocates_nothing_at_steady_state() {
+    let n = 1 << 16;
+    let k = 256;
+    let grads = grad_epoch(n, 12);
+    let mut r = Residual::new(n);
+    let mut out = SparseVec::empty(n);
+    run_fused_exact(&mut r, &grads, k, &mut out);
+    r.clear();
+    let before = alloc_calls();
+    run_fused_exact(&mut r, &grads, k, &mut out);
+    let allocs = alloc_calls() - before;
+    assert_eq!(allocs, 0, "steady-state exact epoch allocated {allocs}x");
+}
