@@ -9,6 +9,10 @@
 //! * the zero-allocation scratch-reuse paths against the allocating ones;
 //! * the blocked/row-parallel matmul against the naive i-k-j loop (and
 //!   asserting the single-thread dispatch is never slower than naive);
+//! * `A·Bᵀ` through the shared register-tiled kernel against the scalar
+//!   running-sum dot product it replaced, at every SIMD level;
+//! * `Conv2d` forward + backward at the ResNet20Lite shapes against the
+//!   per-sample-allocating, per-element-im2col layer it replaced;
 //! * every available `GTOPK_SIMD` level against the scalar kernels;
 //! * the fused single-pass residual+select against the three-pass
 //!   accumulate / scan / compact sequence, at m = 25M;
@@ -20,12 +24,13 @@
 //! the JSON lands in the repository root so future PRs have a perf
 //! trajectory to compare against.
 
+use gtopk_nn::{Conv2d, Layer};
 use gtopk_sparse::{
     topk_merge, topk_merge_into, topk_sparse, topk_sparse_into, MergeScratch, Residual, SparseVec,
     TopkScratch,
 };
 use gtopk_tensor::simd::{self, SimdLevel};
-use gtopk_tensor::{matmul_flat, parallel};
+use gtopk_tensor::{matmul_bt_flat, matmul_flat, parallel, Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
@@ -290,6 +295,289 @@ fn bench_matmul(rows: &mut Vec<Row>) {
     }
 }
 
+/// `A·Bᵀ` before the shared kernel: one scalar running-sum dot product
+/// per output element. Kept here as the ablation baseline.
+fn scalar_dot_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    for i in 0..m {
+        let arow = &a[i * k..(i + 1) * k];
+        for (j, cv) in c[i * n..(i + 1) * n].iter_mut().enumerate() {
+            let mut acc = 0.0f32;
+            for (&av, &bv) in arow.iter().zip(&b[j * k..(j + 1) * k]) {
+                acc += av * bv;
+            }
+            *cv = acc;
+        }
+    }
+}
+
+fn bench_matmul_bt(rows: &mut Vec<Row>) {
+    // The same shape as the matmul rows, right operand stored `[n, k]`.
+    let (m, k, n) = (256usize, 512usize, 512usize);
+    let mut rng = StdRng::seed_from_u64(19);
+    let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let b: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let mut expect = vec![0.0f32; m * n];
+    rows.push(Row {
+        kernel: "matmul_bt",
+        variant: "scalar_dot",
+        threads: 1,
+        simd: "scalar",
+        elements: m * k * n,
+        baseline: true,
+        secs: time_median(5, || {
+            scalar_dot_bt(black_box(&a), black_box(&b), &mut expect, m, k, n);
+            black_box(&expect);
+        }),
+    });
+    for level in levels() {
+        let mut c = vec![0.0f32; m * n];
+        rows.push(Row {
+            kernel: "matmul_bt",
+            variant: "transposed_panel",
+            threads: 1,
+            simd: level.name(),
+            elements: m * k * n,
+            baseline: false,
+            secs: parallel::with_thread_limit(1, || {
+                simd::with_simd_level(level, || {
+                    time_median(5, || {
+                        matmul_bt_flat(black_box(&a), black_box(&b), &mut c, m, k, n);
+                        black_box(&c);
+                    })
+                })
+            }),
+        });
+        assert!(
+            c.iter()
+                .zip(&expect)
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "matmul_bt_flat at {level} must equal the scalar dot product bitwise"
+        );
+    }
+}
+
+/// The geometry of one convolution: channels, input side, kernel side,
+/// stride, padding.
+#[derive(Clone, Copy)]
+struct ConvShape {
+    in_c: usize,
+    out_c: usize,
+    side: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+}
+
+impl ConvShape {
+    fn out_side(&self) -> usize {
+        (self.side + 2 * self.pad - self.k) / self.stride + 1
+    }
+
+    /// Input coordinate of output position `o` at kernel offset `kk`, if
+    /// it lies inside the image.
+    fn src(&self, o: usize, kk: usize) -> Option<usize> {
+        (o * self.stride + kk)
+            .checked_sub(self.pad)
+            .filter(|&i| i < self.side)
+    }
+}
+
+/// The per-element im2col `Conv2d` ran before its valid-range rewrite,
+/// into a fresh buffer per sample.
+fn im2col_per_element(cs: &ConvShape, x: &[f32]) -> Vec<f32> {
+    let (k, os, hw) = (cs.k, cs.out_side(), cs.side);
+    let l = os * os;
+    let mut cols = vec![0.0f32; cs.in_c * k * k * l];
+    for ci in 0..cs.in_c {
+        for ky in 0..k {
+            for kx in 0..k {
+                let row = (ci * k * k + ky * k + kx) * l;
+                for oy in 0..os {
+                    for ox in 0..os {
+                        if let (Some(iy), Some(ix)) = (cs.src(oy, ky), cs.src(ox, kx)) {
+                            cols[row + oy * os + ox] = x[(ci * hw + iy) * hw + ix];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    cols
+}
+
+/// The per-element col2im `Conv2d` ran before its valid-range rewrite.
+fn col2im_per_element(cs: &ConvShape, cols: &[f32], dx: &mut [f32]) {
+    let (k, os, hw) = (cs.k, cs.out_side(), cs.side);
+    let l = os * os;
+    for ci in 0..cs.in_c {
+        for ky in 0..k {
+            for kx in 0..k {
+                let row = (ci * k * k + ky * k + kx) * l;
+                for oy in 0..os {
+                    for ox in 0..os {
+                        if let (Some(iy), Some(ix)) = (cs.src(oy, ky), cs.src(ox, kx)) {
+                            dx[(ci * hw + iy) * hw + ix] += cols[row + oy * os + ox];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `C[m,n] += A[m,k]·B[k,n]` as matmul ran it before the shared kernel:
+/// one dispatched `row_axpy` per (row, p) pair.
+fn rowaxpy_matmul_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    for i in 0..m {
+        for p in 0..k {
+            let av = a[i * k + p];
+            if av != 0.0 {
+                simd::row_axpy(&mut c[i * n..(i + 1) * n], &b[p * n..(p + 1) * n], av);
+            }
+        }
+    }
+}
+
+/// `C[k,n] += A[m,k]ᵀ·B[m,n]` as matmul ran it before the shared kernel.
+fn rowaxpy_matmul_at_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    for i in 0..m {
+        for r in 0..k {
+            let av = a[i * k + r];
+            if av != 0.0 {
+                simd::row_axpy(&mut c[r * n..(r + 1) * n], &b[i * n..(i + 1) * n], av);
+            }
+        }
+    }
+}
+
+/// One `Conv2d` forward + backward as the layer ran it before: fresh
+/// per-element im2col per sample (twice), `row_axpy` matmuls, the
+/// scalar-dot `A·Bᵀ`, and per-sample scratch. Returns `(y, dx, grads)`.
+fn reference_conv_step(
+    cs: &ConvShape,
+    params: &[f32],
+    x: &[f32],
+    dy: &[f32],
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let (ckk, l) = (cs.in_c * cs.k * cs.k, cs.out_side() * cs.out_side());
+    let (weight, bias) = params.split_at(cs.out_c * ckk);
+    let in_len = cs.in_c * cs.side * cs.side;
+    let n = x.len() / in_len;
+    let mut y = vec![0.0f32; n * cs.out_c * l];
+    for s in 0..n {
+        let cols = im2col_per_element(cs, &x[s * in_len..(s + 1) * in_len]);
+        let yout = &mut y[s * cs.out_c * l..(s + 1) * cs.out_c * l];
+        rowaxpy_matmul_acc(weight, &cols, yout, cs.out_c, ckk, l);
+    }
+    let bias = bias.to_vec();
+    for (plane, &b) in y.chunks_exact_mut(l).zip(bias.iter().cycle()) {
+        plane.iter_mut().for_each(|v| *v += b);
+    }
+    let mut grads = vec![0.0f32; params.len()];
+    let mut dx = vec![0.0f32; x.len()];
+    let mut dw_tmp = vec![0.0f32; cs.out_c * ckk];
+    for s in 0..n {
+        let cols = im2col_per_element(cs, &x[s * in_len..(s + 1) * in_len]);
+        let dys = &dy[s * cs.out_c * l..(s + 1) * cs.out_c * l];
+        scalar_dot_bt(dys, &cols, &mut dw_tmp, cs.out_c, l, ckk);
+        let (wg, bg) = grads.split_at_mut(cs.out_c * ckk);
+        wg.iter_mut().zip(&dw_tmp).for_each(|(g, d)| *g += d);
+        for (b, dyc) in bg.iter_mut().zip(dys.chunks_exact(l)) {
+            *b += dyc.iter().sum::<f32>();
+        }
+        let mut dcols = vec![0.0f32; ckk * l];
+        rowaxpy_matmul_at_acc(weight, dys, &mut dcols, cs.out_c, ckk, l);
+        col2im_per_element(cs, &dcols, &mut dx[s * in_len..(s + 1) * in_len]);
+    }
+    (y, dx, grads)
+}
+
+/// `Conv2d` forward + backward at the three ResNet20Lite convolution
+/// shapes (batch 8): the layer against its pre-rewrite reference.
+fn bench_conv(rows: &mut Vec<Row>) {
+    const BATCH: usize = 8;
+    const REPS: usize = 50;
+    let shapes = [
+        ("conv2d_fwd_bwd_8to8_8x8", (8, 8, 8, 1)),
+        ("conv2d_fwd_bwd_8to16_8x8_s2", (8, 16, 8, 2)),
+        ("conv2d_fwd_bwd_16to16_4x4", (16, 16, 4, 1)),
+    ];
+    let mut rng = StdRng::seed_from_u64(23);
+    for (kernel, (in_c, out_c, side, stride)) in shapes {
+        let cs = ConvShape {
+            in_c,
+            out_c,
+            side,
+            k: 3,
+            stride,
+            pad: 1,
+        };
+        let os = cs.out_side();
+        let x: Vec<f32> = (0..BATCH * in_c * side * side)
+            .map(|_| rng.gen_range(-1.0f32..1.0))
+            .collect();
+        let dy: Vec<f32> = (0..BATCH * out_c * os * os)
+            .map(|_| rng.gen_range(-1.0f32..1.0))
+            .collect();
+        let xt = Tensor::from_vec(Shape::d4(BATCH, in_c, side, side), x.clone()).expect("x");
+        let dyt = Tensor::from_vec(Shape::d4(BATCH, out_c, os, os), dy.clone()).expect("dy");
+        let mut conv = Conv2d::new(&mut rng, in_c, out_c, 3, stride, 1);
+        let params = conv.params().to_vec();
+        let macs = 3 * BATCH * out_c * in_c * 9 * os * os * REPS;
+        let mut reference = Default::default();
+        rows.push(Row {
+            kernel,
+            variant: "per_sample_alloc_rowaxpy",
+            threads: 1,
+            simd: simd::level().name(),
+            elements: macs,
+            baseline: true,
+            secs: parallel::with_thread_limit(1, || {
+                time_median(5, || {
+                    for _ in 0..REPS {
+                        reference = reference_conv_step(&cs, &params, black_box(&x), &dy);
+                    }
+                })
+            }),
+        });
+        for level in levels() {
+            let mut got = (Tensor::zeros(Shape::d1(0)), Tensor::zeros(Shape::d1(0)));
+            rows.push(Row {
+                kernel,
+                variant: "layer",
+                threads: 1,
+                simd: level.name(),
+                elements: macs,
+                baseline: false,
+                secs: parallel::with_thread_limit(1, || {
+                    simd::with_simd_level(level, || {
+                        time_median(5, || {
+                            for _ in 0..REPS {
+                                conv.zero_grads();
+                                let y = conv.forward(black_box(&xt), true);
+                                got = (y, conv.backward(&dyt));
+                            }
+                        })
+                    })
+                }),
+            });
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            let (y, dx, grads) = &reference;
+            assert_eq!(bits(got.0.data()), bits(y), "{kernel} at {level}: forward");
+            assert_eq!(
+                bits(got.1.data()),
+                bits(dx),
+                "{kernel} at {level}: input grad"
+            );
+            assert_eq!(
+                bits(conv.grads()),
+                bits(grads),
+                "{kernel} at {level}: param grads"
+            );
+        }
+    }
+}
+
 /// Residual accumulate (`acc += grad`) at every SIMD level, m = 25M.
 fn bench_axpy(rows: &mut Vec<Row>) {
     let mut rng = StdRng::seed_from_u64(17);
@@ -527,6 +815,9 @@ fn main() {
     bench_merge(&mut rows);
     eprintln!("benchmarking matmul ...");
     bench_matmul(&mut rows);
+    eprintln!("benchmarking matmul_bt and conv2d forward + backward ...");
+    bench_matmul_bt(&mut rows);
+    bench_conv(&mut rows);
     eprintln!("benchmarking residual axpy across simd levels (n = {N2}) ...");
     bench_axpy(&mut rows);
     eprintln!("benchmarking threshold compaction across simd levels ...");

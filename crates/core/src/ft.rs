@@ -64,7 +64,8 @@ use gtopk_sparse::{Mask, SparseVec};
 use std::time::Duration;
 
 /// Emits a recovery-protocol trace line on stderr when `GTOPK_FT_TRACE`
-/// is set in the environment. The closure keeps formatting off the
+/// is set in the environment (the trainer also reports each finished
+/// epoch, so recovery events can be placed against training progress). The closure keeps formatting off the
 /// normal path; the timestamp is wall-clock milliseconds modulo 10⁶ so
 /// traces from different processes of one chaos run line up.
 pub(crate) fn ft_trace(line: impl FnOnce() -> String) {

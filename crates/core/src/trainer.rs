@@ -1034,6 +1034,11 @@ where
                     evals.push(eval);
                     epoch_loss = 0.0;
                     batches.next_epoch();
+                    // Lets a trace (and the process-kill scripts) place
+                    // recovery events against training progress.
+                    ft::ft_trace(|| {
+                        format!("rank {} finished epoch {}", comm.rank(), losses.len())
+                    });
                 }
             }
             Err(err) => {

@@ -3,9 +3,10 @@
 //! Every per-element pass the per-step critical path performs — residual
 //! accumulate (`acc += g`), magnitude scans (max / count-above-threshold),
 //! threshold compaction (emit the indices where `|v| > thr`), the fused
-//! accumulate-and-compact pass, and the matmul inner microkernel — funnels
-//! through this module, which picks an AVX2, SSE2, or portable-scalar
-//! implementation at runtime.
+//! accumulate-and-compact pass, and the register-tiled matmul kernel
+//! every matmul variant runs ([`gemm_acc`]) — funnels through this
+//! module, which picks an AVX2, SSE2, or portable-scalar implementation
+//! at runtime.
 //!
 //! # Dispatch
 //!
@@ -35,9 +36,11 @@
 //! - the elementwise kernels (`acc += g`, `c += a·b`) perform exactly one
 //!   IEEE-754 rounding per element per operation in lane order; vector
 //!   `addps`/`mulps` round each lane exactly like the scalar ops. The
-//!   matmul microkernel deliberately uses separate multiply and add
+//!   matmul kernel deliberately uses separate multiply and add
 //!   instructions — **no FMA** — because fusing would drop the
-//!   intermediate rounding the scalar loop performs.
+//!   intermediate rounding the scalar loop performs. Holding a C strip
+//!   in registers across the shared dimension changes only where the
+//!   running sum lives between products, not its value.
 //! - the comparison kernels use ordered, non-signaling predicates
 //!   (`_CMP_GT_OQ` / `cmpgtps`), which treat NaN as *not greater* — the
 //!   same verdict the scalar `v.abs() > thr` reaches (and the same one
@@ -201,9 +204,34 @@ fn axpy_scalar(acc: &mut [f32], x: &[f32]) {
     }
 }
 
-fn row_axpy_scalar(c: &mut [f32], b: &[f32], a: f32) {
-    for (cv, &bv) in c.iter_mut().zip(b.iter()) {
-        *cv += a * bv;
+fn gemm_acc_scalar<const SKIP: bool>(g: Gemm<'_>, c: &mut [f32]) {
+    for (r, crow) in c.chunks_exact_mut(g.n).enumerate() {
+        for p in 0..g.k {
+            let av = g.a[r * g.ars + p * g.aps];
+            if SKIP && av == 0.0 {
+                continue;
+            }
+            for (cv, &bv) in crow.iter_mut().zip(&g.b[p * g.n..(p + 1) * g.n]) {
+                *cv += av * bv;
+            }
+        }
+    }
+}
+
+/// Columns `[j0, j0 + c.len())` of C row `r`, one running sum per column
+/// held across the whole shared dimension — the SSE2 kernel's sub-lane
+/// tail.
+fn gemm_cols_scalar<const SKIP: bool>(g: Gemm<'_>, r: usize, j0: usize, c: &mut [f32]) {
+    for (j, cv) in c.iter_mut().enumerate() {
+        let mut acc = *cv;
+        for p in 0..g.k {
+            let av = g.a[r * g.ars + p * g.aps];
+            if SKIP && av == 0.0 {
+                continue;
+            }
+            acc += av * g.b[p * g.n + j0 + j];
+        }
+        *cv = acc;
     }
 }
 
@@ -259,7 +287,7 @@ fn accumulate_compact_above_scalar(
 mod x86 {
     use super::{
         accumulate_compact_above_scalar, axpy_scalar, compact_above_scalar, count_above_scalar,
-        max_abs_scalar, row_axpy_scalar,
+        gemm_cols_scalar, max_abs_scalar, Gemm,
     };
     use core::arch::x86_64::*;
 
@@ -314,44 +342,179 @@ mod x86 {
         axpy_scalar(&mut acc[i..], &x[i..]);
     }
 
+    /// `R` 8-lane registers (`8·R` columns of one C row, starting at
+    /// `c`) held in registers across the whole shared dimension: one load
+    /// and one store of C per strip instead of one per product.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available; `a[p·aps]` and `b[p·n .. p·n + 8·R]` must
+    /// be readable for every `p < k`, and `c[.. 8·R]` writable.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn row_axpy_avx2(c: &mut [f32], b: &[f32], a: f32) {
-        let n = c.len();
-        debug_assert_eq!(n, b.len());
-        let pc = c.as_mut_ptr();
-        let pb = b.as_ptr();
-        let va = _mm256_set1_ps(a);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let vc = _mm256_loadu_ps(pc.add(i));
-            let vb = _mm256_loadu_ps(pb.add(i));
-            // Separate mul + add (no FMA): the scalar loop rounds the
-            // product before the add, and bitwise identity requires the
-            // same two roundings here.
-            _mm256_storeu_ps(pc.add(i), _mm256_add_ps(vc, _mm256_mul_ps(va, vb)));
-            i += 8;
+    #[inline]
+    unsafe fn gemm_strip_avx2<const SKIP: bool, const R: usize>(
+        a: *const f32,
+        aps: usize,
+        b: *const f32,
+        c: *mut f32,
+        k: usize,
+        n: usize,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); R];
+        for (w, v) in acc.iter_mut().enumerate() {
+            *v = _mm256_loadu_ps(c.add(8 * w));
         }
-        row_axpy_scalar(&mut c[i..], &b[i..], a);
-    }
-
-    pub fn row_axpy_sse2(c: &mut [f32], b: &[f32], a: f32) {
-        let n = c.len();
-        debug_assert_eq!(n, b.len());
-        let pc = c.as_mut_ptr();
-        let pb = b.as_ptr();
-        let mut i = 0usize;
-        // SAFETY: i + 4 <= n keeps the accesses in bounds; SSE2 is
-        // baseline on x86_64.
-        unsafe {
-            let va = _mm_set1_ps(a);
-            while i + 4 <= n {
-                let vc = _mm_loadu_ps(pc.add(i));
-                let vb = _mm_loadu_ps(pb.add(i));
-                _mm_storeu_ps(pc.add(i), _mm_add_ps(vc, _mm_mul_ps(va, vb)));
-                i += 4;
+        for p in 0..k {
+            let av = *a.add(p * aps);
+            if SKIP && av == 0.0 {
+                continue;
+            }
+            let va = _mm256_set1_ps(av);
+            let bp = b.add(p * n);
+            for (w, v) in acc.iter_mut().enumerate() {
+                // Separate mul + add (no FMA): the scalar loop rounds the
+                // product before the add, and bitwise identity requires
+                // the same two roundings here.
+                *v = _mm256_add_ps(*v, _mm256_mul_ps(va, _mm256_loadu_ps(bp.add(8 * w))));
             }
         }
-        row_axpy_scalar(&mut c[i..], &b[i..], a);
+        for (w, v) in acc.iter().enumerate() {
+            _mm256_storeu_ps(c.add(8 * w), *v);
+        }
+    }
+
+    /// The last `rem < 8` columns of a C row as one masked register.
+    /// Masked-off lanes are never loaded from or stored to; whatever
+    /// they compute in between is discarded.
+    ///
+    /// # Safety
+    ///
+    /// As `gemm_strip_avx2`, for `rem` columns instead of `8·R`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn gemm_tail_avx2<const SKIP: bool>(
+        a: *const f32,
+        aps: usize,
+        b: *const f32,
+        c: *mut f32,
+        k: usize,
+        n: usize,
+        rem: usize,
+    ) {
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(rem as i32), lanes);
+        let mut v = _mm256_maskload_ps(c, mask);
+        for p in 0..k {
+            let av = *a.add(p * aps);
+            if SKIP && av == 0.0 {
+                continue;
+            }
+            let vb = _mm256_maskload_ps(b.add(p * n), mask);
+            v = _mm256_add_ps(v, _mm256_mul_ps(_mm256_set1_ps(av), vb));
+        }
+        _mm256_maskstore_ps(c, mask, v);
+    }
+
+    /// # Safety
+    ///
+    /// AVX2 must be available, and `c` must hold whole rows of `g.n`
+    /// (every other index is bounded by `Gemm::new`).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gemm_acc_avx2<const SKIP: bool>(g: Gemm<'_>, c: &mut [f32]) {
+        let Gemm {
+            a,
+            ars,
+            aps,
+            b,
+            k,
+            n,
+        } = g;
+        let (pa, pb, pc) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        for r in 0..c.len() / n {
+            let (ar, cr) = (pa.add(r * ars), pc.add(r * n));
+            let mut j = 0usize;
+            while j + 32 <= n {
+                gemm_strip_avx2::<SKIP, 4>(ar, aps, pb.add(j), cr.add(j), k, n);
+                j += 32;
+            }
+            if j + 16 <= n {
+                gemm_strip_avx2::<SKIP, 2>(ar, aps, pb.add(j), cr.add(j), k, n);
+                j += 16;
+            }
+            if j + 8 <= n {
+                gemm_strip_avx2::<SKIP, 1>(ar, aps, pb.add(j), cr.add(j), k, n);
+                j += 8;
+            }
+            if j < n {
+                gemm_tail_avx2::<SKIP>(ar, aps, pb.add(j), cr.add(j), k, n, n - j);
+            }
+        }
+    }
+
+    /// SSE2 twin of `gemm_strip_avx2`: `R` 4-lane registers.
+    ///
+    /// # Safety
+    ///
+    /// As `gemm_strip_avx2`, for `4·R` columns (SSE2 is baseline).
+    #[inline]
+    unsafe fn gemm_strip_sse2<const SKIP: bool, const R: usize>(
+        a: *const f32,
+        aps: usize,
+        b: *const f32,
+        c: *mut f32,
+        k: usize,
+        n: usize,
+    ) {
+        let mut acc = [_mm_setzero_ps(); R];
+        for (w, v) in acc.iter_mut().enumerate() {
+            *v = _mm_loadu_ps(c.add(4 * w));
+        }
+        for p in 0..k {
+            let av = *a.add(p * aps);
+            if SKIP && av == 0.0 {
+                continue;
+            }
+            let va = _mm_set1_ps(av);
+            let bp = b.add(p * n);
+            for (w, v) in acc.iter_mut().enumerate() {
+                *v = _mm_add_ps(*v, _mm_mul_ps(va, _mm_loadu_ps(bp.add(4 * w))));
+            }
+        }
+        for (w, v) in acc.iter().enumerate() {
+            _mm_storeu_ps(c.add(4 * w), *v);
+        }
+    }
+
+    pub fn gemm_acc_sse2<const SKIP: bool>(g: Gemm<'_>, c: &mut [f32]) {
+        let n = g.n;
+        let (pa, pb) = (g.a.as_ptr(), g.b.as_ptr());
+        for (r, crow) in c.chunks_exact_mut(n).enumerate() {
+            let pc = crow.as_mut_ptr();
+            let mut j = 0usize;
+            // SAFETY: `Gemm::new` bounds every `a`/`b` index the strips
+            // touch, each strip stays inside this C row (`j + width <= n`),
+            // and SSE2 is baseline on x86_64.
+            unsafe {
+                let ar = pa.add(r * g.ars);
+                while j + 32 <= n {
+                    gemm_strip_sse2::<SKIP, 8>(ar, g.aps, pb.add(j), pc.add(j), g.k, n);
+                    j += 32;
+                }
+                if j + 16 <= n {
+                    gemm_strip_sse2::<SKIP, 4>(ar, g.aps, pb.add(j), pc.add(j), g.k, n);
+                    j += 16;
+                }
+                if j + 8 <= n {
+                    gemm_strip_sse2::<SKIP, 2>(ar, g.aps, pb.add(j), pc.add(j), g.k, n);
+                    j += 8;
+                }
+                if j + 4 <= n {
+                    gemm_strip_sse2::<SKIP, 1>(ar, g.aps, pb.add(j), pc.add(j), g.k, n);
+                    j += 4;
+                }
+            }
+            gemm_cols_scalar::<SKIP>(g, r, j, &mut crow[j..]);
+        }
     }
 
     #[target_feature(enable = "avx2")]
@@ -553,8 +716,107 @@ pub fn axpy(acc: &mut [f32], x: &[f32]) {
     }
 }
 
-/// `c[j] += a * b[j]` — the matmul inner microkernel (one output row,
-/// one shared-dimension element).
+/// The operands of one [`gemm_acc`] call, bounds-checked once by
+/// [`Gemm::new`] so the SIMD kernels can index without checks.
+#[derive(Clone, Copy)]
+struct Gemm<'a> {
+    a: &'a [f32],
+    ars: usize,
+    aps: usize,
+    b: &'a [f32],
+    k: usize,
+    n: usize,
+}
+
+impl<'a> Gemm<'a> {
+    /// # Panics
+    ///
+    /// Panics unless `b` holds `k` rows of `n` and `a` holds every
+    /// `a[r·ars + p·aps]` for `r < rows`, `p < k`.
+    fn new(
+        a: &'a [f32],
+        ars: usize,
+        aps: usize,
+        b: &'a [f32],
+        rows: usize,
+        k: usize,
+        n: usize,
+    ) -> Self {
+        // Checked arithmetic: the SIMD kernels' memory safety rests on
+        // these bounds, so an overflowing product must not pass them.
+        assert!(
+            k.checked_mul(n).is_some_and(|kn| b.len() >= kn),
+            "gemm_acc: B holds fewer than k rows"
+        );
+        if rows > 0 && k > 0 {
+            let last = (rows - 1)
+                .checked_mul(ars)
+                .zip((k - 1).checked_mul(aps))
+                .and_then(|(r, p)| r.checked_add(p));
+            assert!(
+                last.is_some_and(|i| i < a.len()),
+                "gemm_acc: A too short for its strides"
+            );
+        }
+        Gemm {
+            a,
+            ars,
+            aps,
+            b,
+            k,
+            n,
+        }
+    }
+}
+
+/// `c[r·n + j] += Σ_p a[r·ars + p·aps] · b[p·n + j]` over the `rows =
+/// c.len() / n` rows of `c`, `p` ascending from 0 to `k` — THE matmul
+/// kernel: every variant in [`crate::matmul`] is this call with
+/// different `A` strides (`ars` between rows, `aps` along the shared
+/// dimension). With `SKIP`, products whose `A` factor is `±0.0` are not
+/// added at all.
+///
+/// The AVX2 and SSE2 levels hold a strip of up to 32 columns of one C
+/// row in registers across the whole `p` loop, so C is loaded and stored
+/// once per strip instead of once per product. Each output element is
+/// still one running sum, `c += a·b` in ascending `p` with a separate
+/// multiply and add (never FMA), so every level is bitwise identical to
+/// the scalar i-k-j loop. The level is resolved once per call.
+///
+/// # Panics
+///
+/// Panics if `n == 0`, `c.len()` is not a multiple of `n`, or `a`/`b`
+/// are too short for the given strides and sizes.
+pub fn gemm_acc<const SKIP: bool>(
+    a: &[f32],
+    ars: usize,
+    aps: usize,
+    b: &[f32],
+    c: &mut [f32],
+    k: usize,
+    n: usize,
+) {
+    assert!(
+        n > 0 && c.len().is_multiple_of(n),
+        "gemm_acc: C is not whole rows of n"
+    );
+    let g = Gemm::new(a, ars, aps, b, c.len() / n, k, n);
+    if k == 0 || c.is_empty() {
+        return;
+    }
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level()` never returns a level above `detect_best()`;
+        // `Gemm::new` checked every index the kernel touches.
+        SimdLevel::Avx2 => unsafe { x86::gemm_acc_avx2::<SKIP>(g, c) },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Sse2 => x86::gemm_acc_sse2::<SKIP>(g, c),
+        _ => gemm_acc_scalar::<SKIP>(g, c),
+    }
+}
+
+/// `c[j] += a * b[j]` — one row of [`gemm_acc`] with a shared
+/// dimension of 1 (no zero skip).
 ///
 /// Uses separate multiply and add (never FMA) so the two per-element
 /// roundings match the scalar loop exactly.
@@ -564,13 +826,8 @@ pub fn axpy(acc: &mut [f32], x: &[f32]) {
 /// Panics if the slices differ in length.
 pub fn row_axpy(c: &mut [f32], b: &[f32], a: f32) {
     assert_eq!(c.len(), b.len(), "row_axpy length mismatch");
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level()` never returns a level above `detect_best()`.
-        SimdLevel::Avx2 => unsafe { x86::row_axpy_avx2(c, b, a) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => x86::row_axpy_sse2(c, b, a),
-        _ => row_axpy_scalar(c, b, a),
+    if !c.is_empty() {
+        gemm_acc::<false>(&[a], 0, 0, b, c, 1, c.len());
     }
 }
 

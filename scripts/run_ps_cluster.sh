@@ -15,6 +15,11 @@
 #
 # Exits non-zero unless every survivor finishes all epochs, reports the
 # shrunken membership, and reports the bulk-sync PS discipline.
+#
+# The kill is timed by progress, not by the clock: every rank runs with
+# GTOPK_FT_TRACE=1, which makes it log "rank R finished epoch E" on stderr
+# as each epoch completes, and the victim dies as soon as its own first
+# epoch line appears — mid-run however fast or slow the host is.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,7 +37,7 @@ trap 'kill ${PIDS[@]:-} 2>/dev/null || true; rm -rf "$DIR"' EXIT
 echo "==> launching $P ranks, $P co-located shards (rendezvous dir: $DIR)"
 PIDS=()
 for ((r = 0; r < P; r++)); do
-  "$BIN" train \
+  GTOPK_FT_TRACE=1 "$BIN" train \
     --transport tcp --rank "$r" --rendezvous "$DIR" \
     --workers "$P" --model mlp --epochs "$EPOCHS" \
     --batch 4 --density 0.05 \
@@ -41,11 +46,24 @@ for ((r = 0; r < P; r++)); do
   PIDS[r]=$!
 done
 
-# Let the cluster connect and enter the push/pull loop, then kill the
-# victim — with S = P it hosts shard KILL_RANK, so its death takes a
-# server shard down with it, not just a worker.
-sleep 2
-echo "==> SIGKILL shard host $KILL_RANK (pid ${PIDS[KILL_RANK]})"
+# Wait until the victim has finished its first epoch of the push/pull
+# loop, then kill it — with S = P it hosts shard KILL_RANK, so its death
+# takes a server shard down with it, not just a worker.
+VICTIM_LOG="$DIR/rank-$KILL_RANK.out"
+for ((tick = 0; tick < 6000; tick++)); do
+  grep -q "rank $KILL_RANK finished epoch 1\b" "$VICTIM_LOG" 2>/dev/null && break
+  if ! kill -0 "${PIDS[KILL_RANK]}" 2>/dev/null; then
+    echo "!! shard host $KILL_RANK exited before finishing an epoch:"
+    cat "$VICTIM_LOG"
+    exit 1
+  fi
+  sleep 0.01
+done
+if ! grep -q "rank $KILL_RANK finished epoch 1\b" "$VICTIM_LOG" 2>/dev/null; then
+  echo "!! shard host $KILL_RANK reported no finished epoch within 60 s"
+  exit 1
+fi
+echo "==> SIGKILL shard host $KILL_RANK (pid ${PIDS[KILL_RANK]}) after its first epoch"
 kill -9 "${PIDS[KILL_RANK]}" 2>/dev/null || true
 wait "${PIDS[KILL_RANK]}" 2>/dev/null || true
 

@@ -5,18 +5,21 @@
 //! `GTOPK_SIMD` level and `GTOPK_THREADS` count — replicas of a training
 //! run must not diverge because one host has AVX2 and another does not.
 //! These properties pin that contract for every kernel the SIMD layer
-//! dispatches: residual accumulate (axpy), the matmul row microkernel,
-//! magnitude scans, threshold compaction, the fused
+//! dispatches: residual accumulate (axpy), the matmul kernel (one row of
+//! it as `row_axpy`), magnitude scans, threshold compaction, the fused
 //! accumulate+select+compact pass, and the full threshold-estimate
-//! selection pipeline through `Residual`.
+//! selection pipeline through `Residual`. The four matmul entry points,
+//! which all run the one register-tiled kernel, are pinned against naive
+//! loops written here rather than against the scalar level.
 //!
 //! Inputs deliberately include NaN, ±0.0, denormals, heavy |v| ties, and
 //! lengths with `n % lane-width != 0` so lane-remainder tails, NaN
 //! comparison semantics, and signed-zero handling are all exercised.
 
 use gtopk_sparse::{accumulate_select_compact, Residual, SparseVec, TopkScratch};
-use gtopk_tensor::parallel::with_thread_limit;
+use gtopk_tensor::parallel::{with_min_chunk, with_thread_limit};
 use gtopk_tensor::simd::{self, SimdLevel};
+use gtopk_tensor::{matmul_at_flat_acc, matmul_bt_flat, matmul_flat, matmul_flat_acc};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -118,7 +121,7 @@ proptest! {
         });
     }
 
-    /// `row_axpy` (matmul inner microkernel, c += a * b) is bitwise
+    /// `row_axpy` (one row of the matmul kernel, c += a * b) is bitwise
     /// identical — in particular the SIMD path must not contract the
     /// separate multiply and add into an FMA.
     #[test]
@@ -246,5 +249,152 @@ proptest! {
             assert_eq!(run(false), expect, "unfused pipeline at {:?}", simd::level());
             assert_eq!(run(true), expect, "fused pipeline at {:?}", simd::level());
         });
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Matmul exactness against independent oracles.
+// ---------------------------------------------------------------------------
+
+/// Output widths straddling the 4- and 8-lane registers and the 32-column
+/// register strip; shared dimensions from empty to past one 128-row panel.
+const MATMUL_NS: [usize; 9] = [1, 7, 8, 9, 16, 31, 32, 33, 64];
+const MATMUL_KS: [usize; 5] = [0, 1, 3, 72, 144];
+
+/// Runs `f` at every available SIMD level, single-threaded and with four
+/// threads splitting the rows as finely as they can.
+fn on_matmul_matrix(mut f: impl FnMut()) {
+    for l in SimdLevel::ALL.into_iter().filter(|l| l.available()) {
+        simd::with_simd_level(l, || {
+            with_thread_limit(1, &mut f);
+            with_thread_limit(4, || with_min_chunk(1, &mut f));
+        });
+    }
+}
+
+/// `len` values cycled out of `pool` from offset `salt`, with a `-0.0`
+/// planted first so every operand has one.
+fn draw(pool: &[f32], len: usize, salt: usize) -> Vec<f32> {
+    let mut v: Vec<f32> = (0..len)
+        .map(|i| pool[(i * 7 + salt) % pool.len()])
+        .collect();
+    if let Some(first) = v.first_mut() {
+        *first = -0.0;
+    }
+    v
+}
+
+/// Bit patterns with every NaN mapped to one canonical NaN. Rust leaves
+/// the sign and payload of a NaN produced by arithmetic unspecified: the
+/// compiler may swap the operands of `c + a·b`, and x86 propagates the
+/// first operand's NaN when both are NaN, so two compilations of the same
+/// loop can disagree there. Everything else must match exactly.
+fn exact_bits(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| {
+            if x.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        })
+        .collect()
+}
+
+/// `C[m,n] += A[m,k]·B[k,n]`: i-k-j, skipping zero `A` entries.
+fn oracle_ikj(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    for i in 0..m {
+        for p in 0..k {
+            let av = a[i * k + p];
+            if av == 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                c[i * n + j] += av * b[p * n + j];
+            }
+        }
+    }
+}
+
+/// `C[m,n] = A[m,k]·B[n,k]ᵀ`: one running-sum dot product per element.
+fn oracle_bt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                acc += a[i * k + p] * b[j * k + p];
+            }
+            c[i * n + j] = acc;
+        }
+    }
+    c
+}
+
+/// `C[k,n] += A[m,k]ᵀ·B[m,n]`: `i` ascending per element, skipping zero
+/// `A` entries.
+fn oracle_at(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    for p in 0..k {
+        for j in 0..n {
+            for i in 0..m {
+                let av = a[i * k + p];
+                if av != 0.0 {
+                    c[p * n + j] += av * b[i * n + j];
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every matmul entry point equals its naive loop bit for bit (NaN
+    /// for NaN, see `exact_bits`) on NaN, ±inf, ±0.0 and subnormal
+    /// operands (and `-0.0` already in an accumulated `C`), at every SIMD
+    /// level and thread count.
+    #[test]
+    fn prop_matmul_variants_match_naive_oracles(
+        pool in proptest::collection::vec(nasty_f32(), 61..62),
+        m in 1usize..6,
+    ) {
+        let mut pool = pool;
+        // nasty_f32 has no infinities; plant one of each sign.
+        pool[11] = f32::INFINITY;
+        pool[23] = f32::NEG_INFINITY;
+        for n in MATMUL_NS {
+            for k in MATMUL_KS {
+                let a = draw(&pool, m * k, 0);
+                let b = draw(&pool, k * n, 17);
+                let b_rows = draw(&pool, n * k, 29);
+                let b_at = draw(&pool, m * n, 5);
+                let c0 = draw(&pool, m * n, 41);
+                let c0_at = draw(&pool, k * n, 43);
+
+                let mut flat = vec![0.0f32; m * n];
+                oracle_ikj(&a, &b, &mut flat, m, k, n);
+                let mut acc = c0.clone();
+                oracle_ikj(&a, &b, &mut acc, m, k, n);
+                let bt = oracle_bt(&a, &b_rows, m, k, n);
+                let mut at = c0_at.clone();
+                oracle_at(&a, &b_at, &mut at, m, k, n);
+
+                on_matmul_matrix(|| {
+                    let at_point = format!("m={m} k={k} n={n} at {:?}", simd::level());
+                    let mut c = c0.clone();
+                    matmul_flat(&a, &b, &mut c, m, k, n);
+                    assert_eq!(exact_bits(&c), exact_bits(&flat), "matmul_flat {at_point}");
+                    let mut c = c0.clone();
+                    matmul_flat_acc(&a, &b, &mut c, m, k, n);
+                    assert_eq!(exact_bits(&c), exact_bits(&acc), "matmul_flat_acc {at_point}");
+                    let mut c = c0.clone();
+                    matmul_bt_flat(&a, &b_rows, &mut c, m, k, n);
+                    assert_eq!(exact_bits(&c), exact_bits(&bt), "matmul_bt_flat {at_point}");
+                    let mut c = c0_at.clone();
+                    matmul_at_flat_acc(&a, &b_at, &mut c, m, k, n);
+                    assert_eq!(exact_bits(&c), exact_bits(&at), "matmul_at_flat_acc {at_point}");
+                });
+            }
+        }
     }
 }
